@@ -410,14 +410,16 @@ def two_tier_allocate(names: Sequence[str], predicted: np.ndarray,
         level = np.where(needs_bisect, lo, level)
     filled = np.clip(level[at], floors_a, ceilings_a)
 
+    # A query predicted to cost nothing samples at full rate under either
+    # metric: raising it takes no cycles from anyone, so max-min fairness
+    # (which is Pareto-efficient) puts it at its ceiling.  Reading its rate
+    # off the water level instead would make it depend on whether the
+    # tenant's share landed on its floor cost or one ulp above it.
     rates = np.zeros(count)
-    if packet_fair:
-        rates[alive] = filled
-    else:
-        pred_a = predicted[alive]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates[alive] = np.where(pred_a > 0.0,
-                                    np.minimum(1.0, filled / pred_a), 1.0)
+    pred_a = predicted[alive]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        served = filled if packet_fair else np.minimum(1.0, filled / pred_a)
+        rates[alive] = np.where(pred_a > 0.0, served, 1.0)
     allocation = Allocation.from_arrays(names, rates, rates * predicted,
                                         ~active)
     allocation.tenant_shares = {
@@ -495,13 +497,13 @@ def two_tier_scalar(names: Sequence[str], predicted: np.ndarray,
             if filled.shape == (1,) and len(indices) > 1:
                 filled = np.full(len(indices), filled[0])
             for position, index in enumerate(indices):
-                if packet_fair:
+                if predicted[index] <= 0.0:
+                    rates[names[index]] = 1.0
+                elif packet_fair:
                     rates[names[index]] = float(filled[position])
-                elif predicted[index] > 0.0:
+                else:
                     rates[names[index]] = float(
                         min(1.0, filled[position] / predicted[index]))
-                else:
-                    rates[names[index]] = 1.0
     allocation = Allocation(
         rates=rates,
         cycles={name: rates[name] * float(predicted[i])

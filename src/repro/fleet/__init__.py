@@ -9,17 +9,17 @@ fleet of them over partitioned traffic.  This package is that second tier:
   overlays and independent cycle budgets.
 * :mod:`~repro.fleet.partition` — flow-affine per-batch routing of packets
   to nodes, memoised independently of the shard-level splits.
-* :mod:`~repro.fleet.runner` — executes every node's own predict/shed loop
-  (in-process or on a fork pool via
-  :class:`~repro.experiments.parallel.ParallelRunner`) and measures
-  per-bin latency; :func:`~repro.fleet.runner.verify_exactness` gates the
-  federated answer against a single-node run.
-* :mod:`~repro.fleet.aggregate` — the global
-  :class:`~repro.fleet.aggregate.FleetAggregator`: folds per-node
-  :class:`~repro.monitor.system.ExecutionResult` objects through the
-  ``RESULT_MERGE`` rules (via the public :meth:`ExecutionResult.merge` /
-  :meth:`BinRecord.merge` API) and scrapes/folds per-node metrics into one
-  fleet report.
+* :mod:`~repro.fleet.runner` — runs the fleet as one partitioned
+  :class:`~repro.monitor.sharding.ShardedSession` (node configs plus the
+  partitioner's split, in-process or on persistent worker processes),
+  which executes every node's own predict/shed loop and federates the
+  per-node results through the ``RESULT_MERGE`` rules (via the public
+  :meth:`ExecutionResult.merge` / :meth:`BinRecord.merge` API);
+  :func:`~repro.fleet.runner.verify_exactness` gates the federated answer
+  against a single-node run.
+* :mod:`~repro.fleet.aggregate` — the
+  :class:`~repro.fleet.aggregate.FleetAggregator`: scrapes/folds per-node
+  metrics into one fleet report.
 
 ``python -m repro.fleet`` runs a topology from the shell.
 """

@@ -18,7 +18,7 @@ The topology file is YAML (needs PyYAML) or JSON — same schema, see
 ``--mode``, ``--num-shards``, ...) are the same surface as
 ``python -m repro.replay`` / ``python -m repro.serve``
 (:mod:`repro.cli`); ``--n-workers`` controls *node-level* process
-parallelism here.
+parallelism here (nodes are packed into that many worker processes).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet",
         description="Run a fleet of monitor nodes over partitioned traffic "
-                    "and federate their results into one answer.")
+                    "and merge their results into one answer.")
     parser.add_argument("topology", nargs="?", default=None,
                         help="topology spec file (.json, or .yaml with "
                              "PyYAML installed)")
@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "capacity (default: %(default)s)")
     parser.add_argument("--fleet-backend", default="auto", choices=BACKENDS,
                         help="node-execution backend (default: %(default)s; "
-                             "'auto' forks one job per node when "
-                             "--n-workers > 1)")
+                             "'auto' runs the nodes on persistent worker "
+                             "processes when --n-workers > 1)")
     parser.add_argument("--check", action="store_true",
                         help="also run the federated-vs-single-node "
                              "exactness check; exit 1 if any merge-exact "
@@ -103,9 +103,7 @@ def _load_traffic(args):
     if args.trace is not None:
         from ..monitor.packet import as_trace
         from ..traffic.trace_io import open_trace
-        # The fleet partitions every bin up front, so streaming stores are
-        # materialised (the fleet runner is a simulator, not an ingest
-        # path — use repro.serve per node for live out-of-core operation).
+        # Stores stream: the fleet splits and ingests one bin at a time.
         return as_trace(open_trace(args.trace))
     from ..experiments.scenarios import build_workload
     return build_workload(args.workload, seed=args.workload_seed,
@@ -174,7 +172,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.check:
         check = verify_exactness(topology, trace, config=config,
                                  time_bin=args.time_bin,
-                                 n_workers=args.n_workers)
+                                 n_workers=args.n_workers,
+                                 backend=args.fleet_backend)
 
     if args.as_json:
         document = dict(report)

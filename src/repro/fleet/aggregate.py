@@ -1,46 +1,22 @@
-"""Second merge tier: fold per-node results and metrics into one answer.
+"""Fleet metrics: fold per-node metrics into one report; scrape live nodes.
 
-The :class:`FleetAggregator` is the global half of the fleet split: nodes
-run their own predict/shed loops and produce ordinary
-:class:`~repro.monitor.system.ExecutionResult` objects plus operational
+Nodes run their own predict/shed loops inside the fleet's partitioned
+session (:class:`~repro.monitor.sharding.ShardedSession`), which also
+federates their results through :meth:`ExecutionResult.merge` — the same
+associative ``RESULT_MERGE`` fold the shard tier uses.  The
+:class:`FleetAggregator` handles the operational half: it folds per-node
 metrics (:attr:`MonitoringSession.metrics`, or the Prometheus text a
-``repro.serve`` daemon exposes on ``/metrics``); the aggregator folds the
-results through the declarative ``RESULT_MERGE`` rules — the same
-associative fold the shard tier uses, one level up — and the metrics into
-one fleet report.
+``repro.serve`` daemon exposes on ``/metrics``) into one fleet report.
 """
 
 from __future__ import annotations
 
 import urllib.request
-from typing import Dict, Iterable, List, Optional, Sequence
-
-from ..monitor.system import ExecutionResult
+from typing import Dict, Iterable, List, Sequence
 
 
 class FleetAggregator:
-    """Folds per-node executions and metrics into fleet-global views."""
-
-    # ------------------------------------------------------------------
-    # Result federation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def federate(results: Sequence[ExecutionResult],
-                 query_classes: Optional[Dict[str, type]] = None,
-                 name: str = "fleet") -> ExecutionResult:
-        """Fold per-node executions into the fleet-global execution.
-
-        A thin, named entry point over :meth:`ExecutionResult.merge` (the
-        public second-tier merge API): bin records sum / worst-case fold,
-        query logs merge interval by interval under each query's
-        ``RESULT_MERGE`` spec, and the fleet budget is the summed node
-        capacity.  Because every registered merge is associative, regional
-        pre-aggregation composes: ``federate(results)`` equals
-        ``federate([federate(region) for region in regions])`` for any
-        grouping of the same nodes.
-        """
-        return ExecutionResult.merge(results, query_classes=query_classes,
-                                     name=name)
+    """Folds per-node metrics into fleet-global views."""
 
     # ------------------------------------------------------------------
     # Metrics folding

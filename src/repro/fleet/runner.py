@@ -1,18 +1,21 @@
-"""Execute a fleet topology over a traffic stream and federate the answer.
+"""Execute a fleet topology over a traffic stream and merge the answer.
 
-:class:`FleetRunner` is the scenario runner of the fleet tier: it splits
-every time bin of a trace across the topology's nodes
-(:class:`~repro.fleet.partition.FleetPartitioner`), drives one full
-predict/shed loop per node — a :class:`~repro.monitor.session.MonitoringSession`
-or, for nodes configured with ``num_shards > 1``, a sharded session, so the
-shard tier nests under the fleet tier unchanged — and folds the per-node
-results and metrics through the :class:`~repro.fleet.aggregate.FleetAggregator`.
+:class:`FleetRunner` is the scenario runner of the fleet tier.  A fleet is
+a partitioned session: the runner hands its topology's node configs
+(:meth:`~repro.fleet.topology.FleetTopology.node_configs`) and its
+partitioner's split (:class:`~repro.fleet.partition.FleetPartitioner`) to
+:meth:`repro.monitor.sharding.ShardedSystem.partitioned`, streams the trace
+through the resulting :class:`~repro.monitor.sharding.ShardedSession` and
+closes it.  Every node runs one full predict/shed loop — a
+:class:`~repro.monitor.session.MonitoringSession` or, for nodes configured
+with ``num_shards > 1``, a nested in-process sharded session — and the
+session folds the per-node results through the ``RESULT_MERGE`` rules.
 
-Node execution reuses :meth:`repro.experiments.parallel.ParallelRunner.map`
-as its process pool: ``n_workers <= 1`` runs the nodes serially in-process,
-larger pools fork one job per node over the pre-partitioned streams
-(copy-on-write, the same pattern the shard tier's fork backend uses).  Both
-paths run the same pure per-node function, so the federated result is
+Node execution therefore has the shard tier's backends: ``inprocess``
+(every node serially in the caller) or ``workers`` (persistent worker
+processes fed through shared memory, the nodes packed round-robin into
+``effective_workers(n_workers, nodes)`` processes).  Both run the same
+per-node sessions over the same sub-batches, so the federated result is
 bit-identical either way.
 
 :func:`verify_exactness` is the fleet's correctness gate: it runs the fleet
@@ -26,17 +29,13 @@ order cannot perturb it) and checks the federated query logs are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.pool import pool_state
-from ..monitor.workers import fork_start_available
-from ..experiments.parallel import ParallelRunner
 from ..monitor.config import SystemConfig
-from ..monitor.packet import Batch, PacketTrace, as_trace
-from ..monitor.sharding import ShardedSystem
+from ..monitor.packet import as_trace
+from ..monitor.sharding import ShardedSession, ShardedSystem
 from ..monitor.system import ExecutionResult
 from ..profile import summarize
 from ..queries import MERGE_EXACTNESS, QUERY_CLASSES
@@ -44,40 +43,8 @@ from .aggregate import FleetAggregator
 from .partition import FleetPartitioner
 from .topology import FleetTopology
 
-#: Fleet node execution backends.
-BACKENDS: Tuple[str, ...] = ("auto", "inprocess", "fork")
-
-
-# ----------------------------------------------------------------------
-# Per-node execution (pure function of its inputs; pool-safe)
-# ----------------------------------------------------------------------
-def _run_node(config: SystemConfig, batches: List[Batch], time_bin: float,
-              name: str) -> Tuple[ExecutionResult, Dict, List[float]]:
-    """Run one node's session over its sub-stream, timing every bin."""
-    if config.num_shards > 1:
-        session = ShardedSystem(config=config).open_session(
-            time_bin=time_bin, name=name)
-    else:
-        session = config.build().open_session(time_bin=time_bin, name=name)
-    bin_seconds: List[float] = []
-    for batch in batches:
-        started = perf_counter()
-        session.ingest(batch)
-        bin_seconds.append(perf_counter() - started)
-    result = session.close()
-    return result, session.metrics, bin_seconds
-
-
-#: Pre-fork state for pooled node execution (see repro.core.pool.pool_state).
-_POOL_STATE: dict = {}
-
-
-def _run_node_job(index: int) -> Tuple[ExecutionResult, Dict, List[float]]:
-    """Run one node from the fork-inherited pre-partitioned streams."""
-    return _run_node(_POOL_STATE["configs"][index],
-                     _POOL_STATE["streams"][index],
-                     _POOL_STATE["time_bin"],
-                     _POOL_STATE["names"][index])
+#: Fleet node execution backends (the shard tier's).
+BACKENDS: Tuple[str, ...] = ("auto", "inprocess", "workers")
 
 
 # ----------------------------------------------------------------------
@@ -168,15 +135,14 @@ class FleetRunner:
         instances (defaults to the experiment harness's config with the
         standard ``counter,flows,top-k`` mix).
     n_workers:
-        Node-execution parallelism; the runner executes nodes through a
-        :class:`~repro.experiments.parallel.ParallelRunner` pool of this
-        size.  Per-node shard parallelism is separate (each node honours
-        its own config's ``num_shards``/``shard_backend``).
+        Node-execution parallelism: the ``workers`` backend packs the
+        nodes into ``effective_workers(n_workers, nodes, respect_cores)``
+        processes.  A node's own ``num_shards`` always runs in-process
+        inside whichever process hosts the node.
     backend:
-        ``"inprocess"`` (serial), ``"fork"`` (one pooled job per node over
-        the pre-partitioned streams), or ``"auto"`` — fork when
-        ``n_workers > 1``, more than one node, and the host supports the
-        fork start method.
+        ``"inprocess"`` (serial), ``"workers"`` (persistent worker
+        processes), or ``"auto"`` — workers when ``n_workers > 1``, more
+        than one node, and the host can honour it.
     """
 
     def __init__(self, topology: FleetTopology,
@@ -199,30 +165,29 @@ class FleetRunner:
                 "instances); set config = config.replace(queries=...)")
         self.config = config
         self.partitioner = FleetPartitioner(topology)
-        self.pool = ParallelRunner(n_workers=n_workers,
-                                   respect_cores=respect_cores)
+        self.n_workers = int(n_workers)
+        self.respect_cores = bool(respect_cores)
         self.backend = backend
         self.aggregator = FleetAggregator()
 
     # ------------------------------------------------------------------
-    def resolve_backend(self) -> str:
-        if self.backend != "auto":
-            return self.backend
-        if (self.pool.n_workers > 1 and self.topology.num_nodes > 1
-                and fork_start_available()):
-            return "fork"
-        return "inprocess"
+    def open_session(self, time_bin: float = 0.1, name: str = "live",
+                     force: Optional[Dict[str, object]] = None
+                     ) -> ShardedSession:
+        """Open one streaming session over the whole fleet.
 
-    def node_streams(self, trace, time_bin: float
-                     ) -> Tuple[List[List[Batch]], "PacketTrace"]:
-        """Partition every bin of the trace into per-node sub-streams."""
-        trace = as_trace(trace)
-        streams: List[List[Batch]] = [[] for _ in
-                                      range(self.topology.num_nodes)]
-        for batch in trace.batch_list(time_bin):
-            for index, sub in enumerate(self.partitioner.split(batch)):
-                streams[index].append(sub)
-        return streams, trace
+        The fleet is a partitioned system: the topology's node configs
+        plus the partitioner's split.  ``force`` overlays config fields
+        onto *every* node after all topology overlays (used by the
+        exactness check to pin the whole fleet to reference mode).
+        """
+        system = ShardedSystem.partitioned(
+            self.config, self.topology.node_configs(self.config, force=force),
+            self.partitioner.split,
+            labels=[node.name for node in self.topology.nodes],
+            n_workers=self.n_workers, respect_cores=self.respect_cores,
+            backend=self.backend)
+        return system.open_session(time_bin=time_bin, name=name)
 
     def query_classes(self) -> Dict[str, type]:
         """Query class per instance name, resolved from the node configs.
@@ -239,38 +204,27 @@ class FleetRunner:
     # ------------------------------------------------------------------
     def run(self, trace, time_bin: float = 0.1,
             force: Optional[Dict[str, object]] = None) -> FleetResult:
-        """Execute every node over its partition and federate the results.
+        """Execute every node over its partition and merge the results.
 
-        ``force`` overlays config fields onto *every* node after all
-        topology overlays (used by the exactness check to pin the whole
-        fleet to reference mode).
+        ``force`` overlays config fields onto every node (see
+        :meth:`open_session`).  ``trace`` may be anything
+        :func:`repro.monitor.packet.as_trace` accepts; a trace store
+        streams bin by bin.
         """
-        configs = self.topology.node_configs(self.config, force=force)
-        streams, trace = self.node_streams(trace, time_bin)
-        names = [f"{trace.name}[{node.name}]" for node in self.topology.nodes]
-        backend = self.resolve_backend()
-        if backend == "fork" and self.topology.num_nodes > 1:
-            with pool_state(_POOL_STATE, configs=configs, streams=streams,
-                            time_bin=float(time_bin), names=names):
-                outcomes = self.pool.map(_run_node_job,
-                                         list(range(len(configs))),
-                                         require_fork=True)
-        else:
-            backend = "inprocess"
-            outcomes = [_run_node(config, stream, float(time_bin), name)
-                        for config, stream, name in zip(configs, streams,
-                                                        names)]
+        trace = as_trace(trace)
+        with self.open_session(time_bin=time_bin, name=trace.name,
+                               force=force) as session:
+            session.ingest_trace(trace)
+        federated = session.close()
+        outcomes = session.partition_outcomes
         results = [result for result, _, _ in outcomes]
         metrics = [node_metrics for _, node_metrics, _ in outcomes]
         bin_seconds = np.array([seconds for _, _, seconds in outcomes],
                                dtype=np.float64)
-        federated = self.aggregator.federate(
-            results, query_classes=self.query_classes(),
-            name=f"{trace.name}[fleet]")
         return FleetResult(
             federated=federated, node_results=results, node_metrics=metrics,
             node_bin_seconds=bin_seconds, topology=self.topology,
-            time_bin=float(time_bin), backend=backend,
+            time_bin=float(time_bin), backend=session.backend,
             metrics=self.aggregator.fold_metrics(metrics))
 
 
@@ -286,7 +240,8 @@ def _query_kind(query_cls: type) -> Optional[str]:
 
 def verify_exactness(topology: FleetTopology, trace,
                      config: Optional[SystemConfig] = None,
-                     time_bin: float = 0.1, n_workers: int = 1) -> Dict:
+                     time_bin: float = 0.1, n_workers: int = 1,
+                     backend: str = "auto") -> Dict:
     """Check the federated answer equals one node over the whole stream.
 
     Runs the fleet *and* a single unpartitioned system in reference mode
@@ -300,9 +255,11 @@ def verify_exactness(topology: FleetTopology, trace,
     Only kinds whose :data:`repro.queries.MERGE_EXACTNESS` entry is
     ``"exact"`` are gated (``checked=True``); bounded/prefix/union kinds
     report their observed identity for information but cannot fail the
-    check.
+    check.  ``n_workers`` and ``backend`` choose how the fleet executes,
+    as for :class:`FleetRunner`.
     """
-    fleet = FleetRunner(topology, config=config, n_workers=n_workers)
+    fleet = FleetRunner(topology, config=config, n_workers=n_workers,
+                        backend=backend)
     fleet_result = fleet.run(trace, time_bin=time_bin,
                              force={"mode": "reference"})
     single_config = fleet.config.replace(mode="reference", num_shards=1)

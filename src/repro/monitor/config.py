@@ -36,13 +36,11 @@ FEATURE_METHODS = ("bitmap", "exact")
 
 #: Valid shard-execution backends (how ``num_shards > 1`` actually runs):
 #: ``"inprocess"`` drives every shard serially in the calling process,
-#: ``"fork"`` is the legacy per-run fork pool (whole stream pre-partitioned,
-#: no rebalancing, no streaming sessions), ``"workers"`` keeps one
-#: persistent worker process per shard fed through shared memory
-#: (:class:`~repro.monitor.workers.ShardWorkerPool`; supports rebalancing
-#: and streaming), and ``"auto"`` picks ``"workers"`` when parallelism was
-#: requested and the host can deliver it, ``"inprocess"`` otherwise.
-SHARD_BACKENDS = ("auto", "inprocess", "fork", "workers")
+#: ``"workers"`` keeps one persistent worker process per shard fed through
+#: shared memory (:class:`~repro.monitor.workers.ShardWorkerPool`), and
+#: ``"auto"`` picks ``"workers"`` when parallelism was requested and the
+#: host can deliver it, ``"inprocess"`` otherwise.
+SHARD_BACKENDS = ("auto", "inprocess", "workers")
 
 
 def _unknown_fields_error(unknown: Iterable[str],
@@ -61,16 +59,6 @@ def _unknown_fields_error(unknown: Iterable[str],
                          if matches else repr(key))
     return ValueError(f"unknown SystemConfig field(s) {', '.join(described)}; "
                       f"valid fields: {valid}")
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warnings raised by the ``repro`` package.
-
-    A dedicated subclass lets the test suite turn *our* deprecations into
-    errors (so internal code cannot quietly keep using shimmed paths) without
-    also erroring on unrelated ``DeprecationWarning`` noise from third-party
-    libraries.
-    """
 
 
 @dataclass(frozen=True)
@@ -301,7 +289,6 @@ __all__ = [
     "FEATURE_METHODS",
     "MODES",
     "MODE_ALIASES",
-    "ReproDeprecationWarning",
     "SHARD_BACKENDS",
     "SystemConfig",
 ]

@@ -1,53 +1,60 @@
-"""Sharded execution: flow-hash partitioning across per-shard pipelines.
+"""Partitioned execution: one stream, N per-partition pipelines, one result.
 
 The paper's scheme runs one predictor/shedder over one packet stream, so no
 matter how vectorised the batch path is, one core executes every query on
-every bin.  This module partitions a single logical stream across ``N``
-identical shard workers and folds their outputs back into one result:
+every bin.  This module is the one engine that partitions a single logical
+stream across ``N`` per-partition sessions and folds their outputs back into
+one result.  :class:`ShardedSession` runs it; its two inputs are the
+per-partition :class:`~repro.monitor.config.SystemConfig` objects and the
+split function that cuts every bin's batch into one sub-batch per
+partition.  Two tiers supply them:
 
-* **Partitioning** — :meth:`repro.monitor.packet.Batch.partition` splits
-  every bin's batch by the 5-tuple flow hash, so all packets of a flow land
-  on the same shard and per-flow query state never spans workers.
-* **Shard workers** — each shard is a full
-  :class:`~repro.monitor.system.MonitoringSystem` (same mode, strategy and
-  query set, built from a per-shard :class:`~repro.monitor.config.SystemConfig`
-  with ``1/N`` of the cycle capacity and a shard-derived seed) driven
-  through a streaming :class:`~repro.monitor.session.MonitoringSession`;
-  the whole predict → allocate → shed → execute pipeline of Figure 3.2 runs
-  per shard, unchanged.
-* **Capacity rebalancing** — before each bin, shards whose predicted demand
-  leaves headroom under their base capacity share lend that headroom to
-  shards predicted to overload, so a skewed bin sheds less than a static
-  ``1/N`` split would (capacity is conserved bin by bin; every shard keeps
-  a configurable floor).
-* **Result merging** — per-shard :class:`BinRecord`/``ExecutionResult``
-  objects fold into stream-global ones; per-interval query results merge
-  through :meth:`repro.monitor.query.Query.merge_interval_results`
-  (additive for flow-disjoint state, rank/union/sum merges where queries
-  override it).
+* **Flow-hash shards** — :class:`ShardedSystem` derives ``num_shards``
+  identical shard configs (``1/N`` of the cycle capacity and of the fixed
+  per-host overhead, a shard-derived seed) and splits every batch with
+  :meth:`repro.monitor.packet.Batch.partition` by the 5-tuple flow hash, so
+  all packets of a flow land on the same shard and per-flow query state
+  never spans shards.
+* **Fleet nodes** — :meth:`ShardedSystem.partitioned` takes explicit
+  per-node configs and a custom split
+  (:class:`repro.fleet.runner.FleetRunner` passes its topology's node
+  configs and its partitioner).  A node config
+  with ``num_shards > 1`` runs as a nested in-process sharded session.
+
+Every partition is a full
+:class:`~repro.monitor.session.MonitoringSession` (the whole predict →
+allocate → shed → execute pipeline of Figure 3.2 runs per partition,
+unchanged).  On top of that the session provides:
+
+* **Capacity rebalancing** (flow-hash shards only: it assumes equal base
+  shares) — before each bin, shards whose predicted demand leaves headroom
+  under their base capacity share lend that headroom to shards predicted
+  to overload, so a skewed bin sheds less than a static ``1/N`` split would
+  (capacity is conserved bin by bin; every shard keeps a configurable
+  floor).
+* **Result merging** — per-partition :class:`BinRecord`/``ExecutionResult``
+  objects fold into stream-global ones through :meth:`BinRecord.merge` and
+  :meth:`ExecutionResult.merge`; per-interval query results merge through
+  :meth:`repro.monitor.query.Query.merge_interval_results` (additive for
+  flow-disjoint state, rank/union/sum merges where queries override it).
 
 With ``num_shards=1`` the partition returns the original batches, shard 0
 keeps the full budget and the base seed, and every merge reduces to the
 identity — the sharded run is bit-identical to the classic single-system
 run (pinned by ``tests/test_sharding.py``).
 
-Three shard-execution backends are available (``SystemConfig.shard_backend``
-or the ``backend`` argument):
+Two execution backends are available (``SystemConfig.shard_backend`` or the
+``backend`` argument):
 
-* ``"inprocess"`` — every shard session runs serially in the caller.
-* ``"workers"`` — one **persistent worker process per shard**
-  (:class:`~repro.monitor.workers.ShardWorkerPool`): each bin's
-  pre-partitioned columnar sub-batch travels through shared memory, per-bin
-  records come back on a result channel, and capacity-rebalance /
-  reconfiguration messages are piggybacked in FIFO order with the batches —
-  so streaming sessions *and* ``shard_rebalance=True`` run on real
-  parallelism, bit-identical to the in-process path.
-* ``"fork"`` — the legacy per-run fork pool
-  (:func:`repro.core.pool.fork_pool_map`): the stream is pre-partitioned in
-  the parent, workers inherit their slice copy-on-write, execute their
-  shard end to end and ship the per-shard result back for merging.  The
-  per-bin capacity exchange is impossible on this backend, so it still
-  requires ``rebalance=False`` and a materialised stream.
+* ``"inprocess"`` — every partition session runs serially in the caller.
+* ``"workers"`` — persistent worker processes
+  (:class:`~repro.monitor.workers.ShardWorkerPool`), one per shard (a fleet
+  packs its nodes round-robin into fewer): each bin's pre-split columnar
+  sub-batches travel through shared memory, per-bin records come back on a
+  result channel, and capacity-rebalance / reconfiguration messages are
+  piggybacked in FIFO order with the batches — so streaming sessions *and*
+  ``shard_rebalance=True`` run on real parallelism, bit-identical to the
+  in-process path.
 
 ``"auto"`` (the default) picks ``"workers"`` when parallelism was requested
 (``n_workers > 1``) and the host can honour it, ``"inprocess"`` otherwise.
@@ -56,15 +63,16 @@ or the ``backend`` argument):
 from __future__ import annotations
 
 import warnings
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cycles import CycleBudget
-from ..core.pool import effective_workers, fork_pool_map, pool_state
-from ..profile import merged_summary
-from .config import ReproDeprecationWarning, SystemConfig
+from ..core.pool import effective_workers
+from ..profile import StageProfiler
+from .config import SystemConfig
 from .packet import HEADER_FIELDS, Batch, PacketTrace, as_trace
 from .pipeline import BinRecord
-from .query import Query, QueryResultLog
+from .query import Query
 from .system import ExecutionResult, merge_query_logs  # noqa: F401 - re-export
 from .workers import (ShardExecutionWarning, ShardWorkerPool,
                       fork_start_available)
@@ -85,40 +93,51 @@ def shard_seed(base_seed: int, shard_index: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Result merging — deprecated shims
+# Partition sessions
 # ----------------------------------------------------------------------
-# The merge logic is now the public API of the record types themselves:
-# :meth:`BinRecord.merge` and :meth:`ExecutionResult.merge` (plus the
-# module-level :func:`repro.monitor.system.merge_query_logs`, re-exported
-# here).  The free functions below survive as thin deprecated shims.
+def open_partition(config: SystemConfig,
+                   query_factory: Optional[Callable[[], List[Query]]],
+                   time_bin: float, name: str):
+    """Open one partition's streaming session.
 
-def merge_bin_records(records: Sequence[BinRecord]) -> BinRecord:
-    """Deprecated: use :meth:`BinRecord.merge`."""
-    warnings.warn(
-        "merge_bin_records is deprecated; use BinRecord.merge(records)",
-        ReproDeprecationWarning, stacklevel=2)
-    return BinRecord.merge(records)
+    A config with ``num_shards > 1`` opens a nested in-process
+    :class:`ShardedSession` (a partition hosted by a worker process cannot
+    fork workers of its own); anything else opens a
+    :class:`~repro.monitor.session.MonitoringSession`.  ``query_factory``
+    ``None`` builds the config's declarative ``queries``.
+    """
+    if config.num_shards > 1:
+        return ShardedSystem(query_factory, config=config,
+                             backend="inprocess").open_session(
+            time_bin=time_bin, name=name)
+    queries = query_factory() if query_factory is not None else None
+    return config.build(queries).open_session(time_bin=time_bin, name=name)
 
 
-def merge_execution_results(results: Sequence[ExecutionResult],
-                            query_classes: Dict[str, type],
-                            budget: CycleBudget,
-                            name: str) -> ExecutionResult:
-    """Deprecated: use :meth:`ExecutionResult.merge`."""
-    warnings.warn(
-        "merge_execution_results is deprecated; use "
-        "ExecutionResult.merge(results, query_classes=..., budget=..., "
-        "name=...)",
-        ReproDeprecationWarning, stacklevel=2)
-    return ExecutionResult.merge(results, query_classes=query_classes,
-                                 budget=budget, name=name)
+def partition_profile(session) -> Tuple[StageProfiler, Dict]:
+    """``(profiler, feature-sharing stats)`` of one partition session."""
+    if isinstance(session, ShardedSession):
+        return _fold_profiles(session._profiles())
+    return session.system.profiler, session.system.feature_states.stats()
+
+
+def _fold_profiles(profiles: Sequence[Tuple[StageProfiler, Dict]]
+                   ) -> Tuple[StageProfiler, Dict]:
+    """Stage profiles folded and sharing counters summed."""
+    folded = StageProfiler()
+    sharing: Dict[str, int] = {}
+    for profiler, stats in profiles:
+        folded.merge(profiler)
+        for key, value in stats.items():
+            sharing[key] = sharing.get(key, 0) + value
+    return folded, sharing
 
 
 # ----------------------------------------------------------------------
 # The sharded system
 # ----------------------------------------------------------------------
 class ShardedSystem:
-    """``N`` flow-affine shard systems behind one system-like facade.
+    """``N`` partition systems over one stream behind one system-like facade.
 
     Parameters
     ----------
@@ -137,12 +156,10 @@ class ShardedSystem:
         Optional overrides of the corresponding config fields (``backend``
         overrides ``shard_backend``).
     n_workers:
-        ``> 1`` asks for process-parallel shard execution.  Under the
-        ``"auto"`` / ``"workers"`` backends this runs shards (including
-        streaming sessions, and including ``rebalance=True``) on the
-        persistent worker pool; under ``"fork"`` it executes :meth:`run` on
-        the legacy per-run fork pool (which still requires
-        ``rebalance=False`` and keeps streaming sessions in-process).
+        ``> 1`` asks for process-parallel shard execution: under the
+        ``"auto"`` / ``"workers"`` backends shards (including streaming
+        sessions, and including ``rebalance=True``) run on the persistent
+        worker pool.
     respect_cores:
         Clamp parallelism to the host's core count (default); pass
         ``False`` to force real workers on small hosts (benchmarks do).
@@ -166,59 +183,93 @@ class ShardedSystem:
                 shard_rebalance_floor=float(rebalance_floor))
         if backend is not None:
             config = config.replace(shard_backend=str(backend))
-        self.config = config
-        self.num_shards = config.num_shards
-        self.rebalance = config.shard_rebalance
-        self.rebalance_floor = config.shard_rebalance_floor
-        self.backend = config.shard_backend
-        self.n_workers = int(n_workers)
-        self.respect_cores = bool(respect_cores)
-        if (self.backend == "fork" and self.rebalance
-                and self.num_shards > 1 and self.n_workers > 1):
-            raise ValueError(
-                "dynamic capacity rebalancing is not available on the fork-"
-                "pool backend (it needs a per-bin capacity exchange); pass "
-                "rebalance=False, or use the persistent 'workers' backend, "
-                "which rebalances across processes")
         if query_factory is None:
             if config.queries is None:
                 raise ValueError(
                     "ShardedSystem needs either a query_factory or a config "
                     "with a declarative 'queries' field")
             query_factory = config.build_queries
-        self.query_factory = query_factory
-        self.total_cycles_per_second = (
-            config.cycles_per_second if config.cycles_per_second is not None
-            else CycleBudget().cycles_per_second)
-        share = self.total_cycles_per_second / self.num_shards
+        total = (config.cycles_per_second
+                 if config.cycles_per_second is not None
+                 else CycleBudget().cycles_per_second)
+        count = config.num_shards
         # The fixed CoMo overhead models per-host bookkeeping: shards share
         # one host, so each pays its 1/N slice (the per-packet overhead
         # already scales with each shard's slice of the traffic).  Per-query
         # prediction overhead is *not* split — every shard genuinely runs
         # its own feature extractors and predictors, and that duplication
         # is the honest cost of sharding the predict/shed loop.
-        self.shard_configs = [
+        configs = [
             config.replace(
-                num_shards=1, cycles_per_second=share,
-                system_overhead_fixed=(config.system_overhead_fixed /
-                                       self.num_shards),
+                num_shards=1, cycles_per_second=total / count,
+                system_overhead_fixed=config.system_overhead_fixed / count,
                 seed=shard_seed(config.seed, index))
-            for index in range(self.num_shards)
+            for index in range(count)
         ]
-        self.systems = [shard_config.build(query_factory())
-                        for shard_config in self.shard_configs]
-        self.mode = self.systems[0].mode
-        self.strategy_name = self.systems[0].strategy_name
+        self._setup(config, configs, query_factory, total, n_workers,
+                    respect_cores)
 
-    @property
-    def query_names(self) -> List[str]:
-        return self.systems[0].query_names
+    @classmethod
+    def partitioned(cls, config: SystemConfig,
+                    configs: Sequence[SystemConfig],
+                    split: Callable[[Batch], List[Batch]],
+                    labels: Sequence[str], n_workers: int = 1,
+                    respect_cores: bool = True,
+                    backend: str = "auto") -> "ShardedSystem":
+        """Explicit partitions over one stream (the fleet tier).
 
-    @property
-    def query_classes(self) -> Dict[str, type]:
-        """Query class per name (drives per-interval result merging)."""
-        return {name: type(self.systems[0].runtime(name).query)
-                for name in self.systems[0].query_names}
+        ``configs`` are the per-partition configs, each carrying its own
+        declarative ``queries`` and capacity; ``split`` cuts a batch into
+        one sub-batch per partition; ``labels`` name the partitions.  The
+        total capacity is the sum of the partition capacities, rebalancing
+        is off (it assumes equal base shares), and the ``workers`` backend
+        packs the partitions round-robin into
+        ``effective_workers(n_workers, len(configs), respect_cores)``
+        processes.
+        """
+        system = cls.__new__(cls)
+        system._setup(
+            config.replace(num_shards=len(configs), shard_rebalance=False,
+                           shard_backend=backend),
+            list(configs), None,
+            float(sum(c.make_budget().cycles_per_second for c in configs)),
+            n_workers, respect_cores)
+        system.split = split
+        system.labels = list(labels)
+        system.processes = effective_workers(n_workers, len(configs),
+                                             respect_cores)
+        return system
+
+    def _setup(self, config: SystemConfig, configs: List[SystemConfig],
+               query_factory: Optional[Callable[[], List[Query]]],
+               total_cycles_per_second: float, n_workers: int,
+               respect_cores: bool) -> None:
+        self.config = config
+        self.num_shards = len(configs)
+        self.rebalance = config.shard_rebalance
+        self.rebalance_floor = config.shard_rebalance_floor
+        self.backend = config.shard_backend
+        self.n_workers = int(n_workers)
+        self.respect_cores = bool(respect_cores)
+        self.query_factory = query_factory
+        self.total_cycles_per_second = total_cycles_per_second
+        #: Per-partition configs, labels (session-name suffixes) and the
+        #: batch split.
+        self.shard_configs = configs
+        self.labels = [f"shard{index}" for index in range(self.num_shards)]
+        self.split: Callable[[Batch], List[Batch]] = self._flow_split
+        #: Worker processes of the ``workers`` backend (``None``: one per
+        #: partition).
+        self.processes: Optional[int] = None
+        queries = (query_factory() if query_factory is not None
+                   else configs[0].build_queries())
+        self.query_names = [query.name for query in queries]
+        #: Query class per name (drives per-interval result merging).
+        self.query_classes = {query.name: type(query) for query in queries}
+        self.mode = config.mode
+
+    def _flow_split(self, batch: Batch) -> List[Batch]:
+        return batch.partition(self.num_shards, FLOW_FIELDS)
 
     # ------------------------------------------------------------------
     def resolve_backend(self) -> str:
@@ -226,7 +277,7 @@ class ShardedSystem:
 
         ``"auto"`` resolves to the persistent worker pool exactly when the
         caller asked for parallelism (``n_workers > 1``), there is more
-        than one shard, the host's core count can honour the request
+        than one partition, the host's core count can honour the request
         (unless ``respect_cores=False``), and the ``fork`` start method
         exists (so lambda query factories are inherited, not pickled).
         Everything else resolves to in-process execution.
@@ -244,24 +295,23 @@ class ShardedSystem:
                      name: str = "live") -> "ShardedSession":
         """Open a push-based sharded session on the resolved backend.
 
-        With the ``"workers"`` backend the session's shards live in the
-        persistent worker pool; otherwise they run in-process.  A session
-        that asked for parallel workers (``n_workers > 1``) but resolves
-        to in-process execution warns (:class:`ShardExecutionWarning`)
-        instead of silently running serial.
+        With the ``"workers"`` backend the session's partitions live in
+        persistent worker processes; otherwise they run in-process.  A
+        session that asked for parallel workers (``n_workers > 1``) but
+        resolves to in-process execution warns
+        (:class:`ShardExecutionWarning`) instead of silently running
+        serial.
         """
-        backend = self.resolve_backend()
-        if backend == "workers" and self.num_shards > 1:
+        if self.resolve_backend() == "workers" and self.num_shards > 1:
             return ShardedSession(self, time_bin=time_bin, name=name,
                                   backend="workers")
         if self.n_workers > 1 and self.num_shards > 1:
             warnings.warn(
                 f"sharded session {name!r} requested n_workers="
-                f"{self.n_workers} but runs in-process on the "
-                f"{backend!r} backend (the fork backend has no streaming "
-                "sessions; 'auto' found no usable parallelism on this "
-                "host) — pass backend='workers' to force the persistent "
-                "worker pool", ShardExecutionWarning, stacklevel=2)
+                f"{self.n_workers} but runs in-process (the backend is "
+                f"{self.backend!r}, or 'auto' found no usable parallelism "
+                "on this host) — pass backend='workers' to force the "
+                "persistent worker pool", ShardExecutionWarning, stacklevel=2)
         return ShardedSession(self, time_bin=time_bin, name=name)
 
     def run(self, trace: PacketTrace, time_bin: float = 0.1
@@ -269,55 +319,17 @@ class ShardedSystem:
         """Run the sharded system over a trace; returns the merged result.
 
         ``trace`` may also be a streaming trace or a trace store (anything
-        :func:`repro.monitor.packet.as_trace` accepts).  The in-process
-        and persistent-worker paths stream it bin by bin with bounded
-        memory; the legacy fork-pool path pre-partitions the whole stream
-        in the parent, so it materialises every sub-batch regardless of
-        the source.
+        :func:`repro.monitor.packet.as_trace` accepts); it streams bin by
+        bin with bounded memory on either backend.
         """
         trace = as_trace(trace)
-        backend = self.resolve_backend()
-        if (backend == "fork" and self.n_workers > 1
-                and self.num_shards > 1):
-            return self._run_pooled(trace, time_bin)
         session = self.open_session(time_bin=time_bin, name=trace.name)
         return session.ingest_trace(trace).close()
-
-    # ------------------------------------------------------------------
-    def _run_pooled(self, trace: PacketTrace, time_bin: float
-                    ) -> ExecutionResult:
-        """One fork-pool worker per shard over the pre-partitioned stream.
-
-        The parent partitions every batch before forking, so workers
-        inherit their slice copy-on-write; each worker drives its shard's
-        full session end to end and returns the shard's execution result.
-        Results are identical to the in-process path with rebalancing off
-        (same sub-batches, same shard systems, same merge).
-        """
-        slices: List[List[Batch]] = [[] for _ in range(self.num_shards)]
-        for batch in trace.batch_list(time_bin):
-            for index, sub in enumerate(batch.partition(self.num_shards,
-                                                        FLOW_FIELDS)):
-                slices[index].append(sub)
-        with pool_state(_POOL_STATE, configs=self.shard_configs,
-                        factory=self.query_factory, slices=slices,
-                        time_bin=float(time_bin), name=trace.name):
-            results = fork_pool_map(
-                _run_shard_job, list(range(self.num_shards)), self.n_workers,
-                respect_cores=self.respect_cores, require_fork=True)
-        budget = CycleBudget(self.total_cycles_per_second, float(time_bin))
-        return ExecutionResult.merge(results, query_classes=self.query_classes,
-                                     budget=budget, name=trace.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedSystem(mode={self.mode!r}, "
                 f"num_shards={self.num_shards}, "
                 f"rebalance={self.rebalance})")
-
-
-#: State a pooled shard job reads from the forked parent (populated just
-#: before the pool map, cleared right after; fork-only by construction).
-_POOL_STATE: dict = {}
 
 
 def _no_queries() -> List[Query]:
@@ -332,18 +344,6 @@ def _no_queries() -> List[Query]:
     return []
 
 
-def _run_shard_job(shard_index: int) -> ExecutionResult:
-    """Run one shard end to end; pure function of the pre-fork state."""
-    config = _POOL_STATE["configs"][shard_index]
-    system = config.build(_POOL_STATE["factory"]())
-    session = system.open_session(
-        time_bin=_POOL_STATE["time_bin"],
-        name=f"{_POOL_STATE['name']}[shard{shard_index}]")
-    for sub in _POOL_STATE["slices"][shard_index]:
-        session.ingest(sub)
-    return session.close()
-
-
 # ----------------------------------------------------------------------
 # The sharded session
 # ----------------------------------------------------------------------
@@ -351,13 +351,15 @@ class ShardedSession:
     """Push-based execution handle over a :class:`ShardedSystem`.
 
     Mirrors :class:`~repro.monitor.session.MonitoringSession`: feed it one
-    batch per time bin with :meth:`ingest` (the batch is flow-partitioned
-    and fanned out to the per-shard sessions), reconfigure between bins,
-    and :meth:`close` to obtain the merged
-    :class:`~repro.monitor.system.ExecutionResult`.
+    batch per time bin with :meth:`ingest` (the batch is split and fanned
+    out to the per-partition sessions), reconfigure between bins, and
+    :meth:`close` to obtain the merged
+    :class:`~repro.monitor.system.ExecutionResult`.  After closing,
+    :attr:`partition_outcomes` holds every partition's own result, metrics
+    and per-bin ingest seconds.
 
-    With ``backend="workers"`` the per-shard sessions live inside one
-    persistent worker process each (:class:`ShardWorkerPool`); every public
+    With ``backend="workers"`` the per-partition sessions live inside
+    persistent worker processes (:class:`ShardWorkerPool`); every public
     method keeps exactly the in-process semantics — reconfigurations apply
     at the next bin boundary, rebalance capacities are computed by the
     parent from the previous bin's records and shipped before the bin's
@@ -377,23 +379,28 @@ class ShardedSession:
         self.backend = backend
         self.budget = CycleBudget(sharded.total_cycles_per_second,
                                   self.time_bin)
-        suffix = (lambda i: name) if self.num_shards == 1 else \
-            (lambda i: f"{name}[shard{i}]")
+        names = [name] if self.num_shards == 1 else \
+            [f"{name}[{label}]" for label in sharded.labels]
         if backend == "workers":
             self.sessions = None
             self._pool: Optional[ShardWorkerPool] = ShardWorkerPool(
                 sharded.shard_configs, sharded.query_factory,
-                time_bin=self.time_bin,
-                names=[suffix(index) for index in range(self.num_shards)])
+                time_bin=self.time_bin, names=names,
+                processes=sharded.processes)
             # Parent-side mirrors of state that otherwise lives in the
-            # shard sessions (the workers own the real thing).
+            # partition sessions (the workers own the real thing).
             self._bins_ingested = 0
             self._query_names: List[str] = list(sharded.query_names)
         else:
             self._pool = None
-            self.sessions = [system.open_session(time_bin=time_bin,
-                                                 name=suffix(index))
-                             for index, system in enumerate(sharded.systems)]
+            self.sessions = [
+                open_partition(config, sharded.query_factory, self.time_bin,
+                               partition_name)
+                for config, partition_name in zip(sharded.shard_configs,
+                                                  names)]
+        #: Wall seconds each in-process partition spent ingesting each bin.
+        self._bin_seconds: List[List[float]] = \
+            [[] for _ in range(self.num_shards)]
         #: Query class per name, for every query that ever lived in this
         #: session — departed queries keep their logs in the final result,
         #: so their merge implementations must stay resolvable.
@@ -408,6 +415,10 @@ class ShardedSession:
         #: (per-bin ``ingest`` path; the pipelined trace path reports the
         #: complete totals at close time from the merged result).
         self._tenant_cycles: Dict[str, float] = {}
+        #: Set by :meth:`close`: ``(result, metrics, bin_seconds)`` per
+        #: partition, where ``bin_seconds`` are the wall seconds the
+        #: partition spent ingesting each bin.
+        self.partition_outcomes: Optional[List[Tuple]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -438,59 +449,55 @@ class ShardedSession:
 
     @property
     def metrics(self) -> Dict:
-        """Operational metrics folded across the shards (JSON-able).
+        """Operational metrics folded across the partitions (JSON-able).
 
         Same shape as :attr:`MonitoringSession.metrics` — per-stage
-        profile plus feature-sharing registry stats — with per-shard stage
-        totals summed and per-bin latency series concatenated.  On the
-        workers backend the shard numbers are fetched over the command
-        pipes (FIFO with the batches, so they land at a bin boundary); a
-        closed session returns the snapshot taken at close time.
+        profile plus feature-sharing registry stats — with per-partition
+        stage totals summed and per-bin latency series concatenated.  On
+        the workers backend the partition numbers are fetched over the
+        command pipes (FIFO with the batches, so they land at a bin
+        boundary); a closed session returns the snapshot taken at close
+        time.
         """
         if self._closed_metrics is not None:
             return self._closed_metrics
+        return self._metrics(self._profiles(), self._tenant_cycles)
+
+    def _profiles(self) -> List[Tuple[StageProfiler, Dict]]:
         if self._pool is not None:
-            shards = self._pool.metrics()
-        else:
-            shards = [(session.system.profiler,
-                       session.system.feature_states.stats())
-                      for session in self.sessions]
-        merged = self._merge_metrics(shards)
-        tenants = self._tenant_metrics(self._tenant_cycles)
-        if tenants is not None:
-            merged["tenants"] = tenants
-        return merged
+            return self._pool.metrics()
+        return [partition_profile(session) for session in self.sessions]
 
-    def _tenant_metrics(self, totals: Dict[str, float]) -> Optional[Dict]:
-        """The ``tenants`` metrics block, or ``None`` without groups."""
+    def _metrics(self, profiles: Sequence[Tuple[StageProfiler, Dict]],
+                 tenant_cycles: Dict[str, float]) -> Dict:
+        """The metrics dict of ``profiles`` folded, with the ``tenants``
+        block when the system declares tenant groups."""
+        profiler, sharing = _fold_profiles(profiles)
+        metrics = {"profile": profiler.summary(), "feature_sharing": sharing}
         groups = getattr(self.sharded.config, "tenants", None)
-        if not groups:
-            return None
-        return {"count": len(groups), "query_cycles": dict(totals)}
-
-    @staticmethod
-    def _merge_metrics(shards: Sequence[Tuple]) -> Dict:
-        sharing: Dict[str, int] = {}
-        for _, stats in shards:
-            for key, value in stats.items():
-                sharing[key] = sharing.get(key, 0) + value
-        return {"profile": merged_summary([prof for prof, _ in shards]),
-                "feature_sharing": sharing}
+        if groups:
+            metrics["tenants"] = {"count": len(groups),
+                                  "query_cycles": dict(tenant_cycles)}
+        return metrics
 
     # ------------------------------------------------------------------
     def ingest(self, batch: Batch) -> BinRecord:
-        """Partition one bin's batch, drive every shard, merge the records."""
+        """Split one bin's batch, drive every partition, merge the records."""
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
-        parts = batch.partition(self.num_shards, FLOW_FIELDS)
+        parts = self.sharded.split(batch)
         if self.sharded.rebalance and self.num_shards > 1:
             self._apply_capacities(self._rebalance_capacities(parts))
         if self._pool is not None:
             records = self._pool.ingest(parts)
             self._bins_ingested += 1
         else:
-            records = [session.ingest(part)
-                       for session, part in zip(self.sessions, parts)]
+            records = []
+            for session, part, seconds in zip(self.sessions, parts,
+                                              self._bin_seconds):
+                started = perf_counter()
+                records.append(session.ingest(part))
+                seconds.append(perf_counter() - started)
         for index, (part, record) in enumerate(zip(parts, records)):
             self._prev_load[index] = (len(part), record.total_cycles)
         merged = BinRecord.merge(records)
@@ -503,8 +510,8 @@ class ShardedSession:
         """Stream every bin of ``source`` through :meth:`ingest`.
 
         Accepts anything :func:`repro.monitor.packet.as_trace` does; a
-        trace store replays out-of-core — each bin is flow-partitioned and
-        fanned out to the shards, with peak memory bounded by the streaming
+        trace store replays out-of-core — each bin is split and fanned out
+        to the partitions, with peak memory bounded by the streaming
         trace's chunk cache.  A streaming source's cache telemetry is reset
         first, so every replay reports its own numbers.  Returns ``self``
         for chaining.
@@ -512,9 +519,9 @@ class ShardedSession:
         On the worker backend with rebalancing off, ingestion is
         *pipelined*: each bin's sub-batches are shipped without waiting for
         the bin's records (the pool's double buffering bounds the run-ahead
-        to two bins per shard), so partitioning and store I/O overlap shard
-        compute.  Rebalancing needs the previous bin's records to compute
-        capacities, so it runs in lockstep.
+        to two bins per worker), so splitting and store I/O overlap
+        partition compute.  Rebalancing needs the previous bin's records
+        to compute capacities, so it runs in lockstep.
         """
         trace = as_trace(source)
         reset_stats = getattr(trace, "reset_stats", None)
@@ -526,34 +533,34 @@ class ShardedSession:
             if pipelined:
                 if self.closed:
                     raise RuntimeError("cannot ingest into a closed session")
-                parts = batch.partition(self.num_shards, FLOW_FIELDS)
-                for index, part in enumerate(parts):
-                    self._pool.ingest_async(index, part)
+                self._pool.ingest_async(self.sharded.split(batch))
                 self._bins_ingested += 1
             else:
                 self.ingest(batch)
         return self
 
     def close(self) -> ExecutionResult:
-        """Close every shard session and return the merged result."""
+        """Close every partition session and return the merged result."""
         if self._closed_result is not None:
             return self._closed_result
         if self._pool is not None:
-            self._closed_metrics = self._merge_metrics(self._pool.metrics())
-            results = self._pool.close()
+            profiles = self._pool.metrics()
+            results, bin_seconds = zip(*self._pool.close())
         else:
             results = [session.close() for session in self.sessions]
-            self._closed_metrics = self._merge_metrics(
-                [(session.system.profiler,
-                  session.system.feature_states.stats())
-                 for session in self.sessions])
+            profiles = [partition_profile(session)
+                        for session in self.sessions]
+            bin_seconds = self._bin_seconds
         self._closed_result = ExecutionResult.merge(
             results, query_classes=self._query_classes, budget=self.budget,
             name=self.name)
-        tenants = self._tenant_metrics(
-            self._closed_result.tenant_cycle_totals())
-        if tenants is not None:
-            self._closed_metrics["tenants"] = tenants
+        self._closed_metrics = self._metrics(
+            profiles, self._closed_result.tenant_cycle_totals())
+        self.partition_outcomes = [
+            (result, self._metrics([profile], result.tenant_cycle_totals()),
+             list(seconds))
+            for result, profile, seconds in zip(results, profiles,
+                                                bin_seconds)]
         return self._closed_result
 
     # ------------------------------------------------------------------
@@ -617,24 +624,11 @@ class ShardedSession:
                                 backend=backend)
         sharded.total_cycles_per_second = \
             float(state["total_cycles_per_second"])
-        session = cls.__new__(cls)
-        session.sharded = sharded
-        session.time_bin = float(state["time_bin"])
-        session.name = state["name"]
-        session.num_shards = sharded.num_shards
-        session.budget = CycleBudget(sharded.total_cycles_per_second,
-                                     session.time_bin)
-        session._query_classes = dict(state["query_classes"])
-        session._prev_load = list(state["prev_load"])
-        session._closed_result = None
-        resolved = sharded.resolve_backend()
-        if resolved == "workers" and sharded.num_shards > 1:
-            session.backend = "workers"
-            session.sessions = None
-            session._pool = ShardWorkerPool(
-                sharded.shard_configs, factory,
-                time_bin=session.time_bin,
-                names=[s.name for s in state["shard_sessions"]])
+        workers = (sharded.resolve_backend() == "workers"
+                   and sharded.num_shards > 1)
+        session = cls(sharded, time_bin=state["time_bin"], name=state["name"],
+                      backend="workers" if workers else "inprocess")
+        if workers:
             try:
                 session._pool.load_sessions(state["shard_sessions"])
             except BaseException:
@@ -643,13 +637,13 @@ class ShardedSession:
             session._bins_ingested = int(state["bins_ingested"])
             session._query_names = list(state["query_names"])
         else:
-            session.backend = "inprocess"
-            session._pool = None
             session.sessions = list(state["shard_sessions"])
+        session._query_classes = dict(state["query_classes"])
+        session._prev_load = list(state["prev_load"])
         return session
 
     def partial_result(self) -> ExecutionResult:
-        """Merged accuracy-so-far snapshot (shards keep running)."""
+        """Merged accuracy-so-far snapshot (partitions keep running)."""
         if self._pool is not None:
             results = self._pool.partial_results()
         else:
@@ -794,8 +788,6 @@ __all__ = [
     "ShardWorkerPool",
     "ShardedSession",
     "ShardedSystem",
-    "merge_bin_records",
-    "merge_execution_results",
     "merge_query_logs",
     "shard_seed",
 ]

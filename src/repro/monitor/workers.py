@@ -1,21 +1,21 @@
-"""Persistent shard workers with shared-memory batch transport.
+"""Persistent partition workers with shared-memory batch transport.
 
-The original pooled shard path (:meth:`ShardedSystem._run_pooled`) forks a
-fresh process pool per run, pre-partitions the *whole* stream in the parent
-and pickles per-shard execution results back — workable for small in-memory
-traces, but it materialises every sub-batch up front (defeating the
-out-of-core trace store), cannot rebalance capacity between shards, and on
-dense streams the per-run fork/pickle round trips cost more than the
-parallelism buys (the ``streaming_replay`` bench recorded 4 sharded workers
-running ~1.8x *slower* than serial).
+:class:`ShardWorkerPool` is the process backend of
+:class:`~repro.monitor.sharding.ShardedSession`, the one engine that runs
+``N`` per-partition sessions over a partitioned stream (the flow-hash shards
+of a :class:`~repro.monitor.sharding.ShardedSystem` and the nodes of a
+:class:`~repro.fleet.runner.FleetRunner` alike).  Each **long-lived worker
+process** hosts one or more partitions: it owns their full
+:class:`~repro.monitor.session.MonitoringSession` objects (the whole
+predict → allocate → shed → execute pipeline, resident across bins) and is
+fed its partitions' pre-split sub-batches once per time bin.  The shard
+tier runs one process per shard; the fleet packs its nodes round-robin
+into fewer processes.  A partition whose config asks for
+``num_shards > 1`` runs as a nested in-process sharded session inside its
+worker (daemonic workers cannot fork children of their own).
 
-:class:`ShardWorkerPool` replaces that with one **long-lived worker process
-per shard**.  Each worker owns its shard's full
-:class:`~repro.monitor.session.MonitoringSession` (the whole predict →
-allocate → shed → execute pipeline, resident across bins) and is fed one
-pre-partitioned sub-batch per time bin:
-
-* **Transport** — the parent packs each sub-batch's columns into a
+* **Transport** — every message names the partition it is for.  The parent
+  packs one bin's sub-batches for a worker back to back into a
   ``multiprocessing.shared_memory`` segment using the canonical
   :func:`repro.monitor.packet.column_layout` wire format (the same column
   layout the trace store mmaps), so no column data is ever pickled.  Two
@@ -26,25 +26,27 @@ pre-partitioned sub-batch per time bin:
   memcpy per column), after which the slot is free for reuse — zero
   serialisation, one copy.  Payloads, when present, are variable-length
   Python objects and ride the command pipe instead.
-* **Result channel** — every ingested bin answers with its
-  :class:`~repro.monitor.pipeline.BinRecord` on a per-worker result pipe.
-  Control messages (capacity changes — including the per-bin
-  capacity-rebalance updates computed by the parent from the previous
-  bin's records — query arrivals/departures, partial-result snapshots)
-  are piggybacked on the command pipe in FIFO order with the batches, so
-  they apply at exactly the bin boundary they would in-process.
-* **Lifecycle** — :meth:`close` flushes every worker's session and returns
-  the per-shard :class:`~repro.monitor.system.ExecutionResult` list for
-  merging; :meth:`stop` (idempotent, also run by ``close`` and ``__del__``)
-  joins the processes and closes *and unlinks* every shared-memory
-  segment, so no ``/dev/shm`` entries outlive the pool.  A worker dying
-  mid-stream surfaces as a :class:`ShardWorkerError` naming the shard, not
-  a hang.
+* **Result channel** — every ingested bin answers with one
+  :class:`~repro.monitor.pipeline.BinRecord` per hosted partition on a
+  per-worker result pipe.  Control messages (capacity changes — including
+  the per-bin capacity-rebalance updates computed by the parent from the
+  previous bin's records — query arrivals/departures, partial-result
+  snapshots) are piggybacked on the command pipe in FIFO order with the
+  batches, so they apply at exactly the bin boundary they would
+  in-process.
+* **Lifecycle** — :meth:`close` flushes every partition session and returns
+  each partition's :class:`~repro.monitor.system.ExecutionResult` with the
+  wall seconds its ingest took per bin; :meth:`stop` (idempotent, also run
+  by ``close`` and ``__del__``) joins the processes and closes *and
+  unlinks* every shared-memory segment, so no ``/dev/shm`` entries outlive
+  the pool.  A worker dying mid-stream surfaces as a
+  :class:`ShardWorkerError` naming the worker, not a hang.
 
 Workers are started with the ``fork`` start method when the platform has
-it, so the per-shard configs and the query factory are inherited rather
-than pickled (lambda factories keep working).  On spawn-only platforms the
-pool still runs, but configs and factories must then be picklable.
+it, so the per-partition configs and the query factory are inherited
+rather than pickled (lambda factories keep working).  On spawn-only
+platforms the pool still runs, but configs and factories must then be
+picklable.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import os
 import time
 import traceback
 from multiprocessing import shared_memory
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .packet import Batch
 
@@ -78,7 +80,7 @@ _JOIN_TIMEOUT = 5.0
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker process failed (raised, or died without answering)."""
+    """A worker process failed (raised, or died without answering)."""
 
 
 class ShardExecutionWarning(UserWarning):
@@ -86,7 +88,7 @@ class ShardExecutionWarning(UserWarning):
 
     Emitted instead of silently degrading, so callers asking for
     ``n_workers > 1`` learn that their session executes serially (e.g. the
-    fork-pool backend was chosen, which has no streaming-session support).
+    ``inprocess`` backend was chosen, or the host has a single core).
     """
 
 
@@ -120,69 +122,85 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 # ----------------------------------------------------------------------
 # Worker process main loop
 # ----------------------------------------------------------------------
-def _shard_worker_main(shard_index: int, config, query_factory,
-                       time_bin: float, name: str, commands,
-                       results) -> None:
-    """One shard, resident: build the session once, serve bins forever.
+def _worker_main(worker_index: int, partitions: Sequence[Tuple],
+                 query_factory: Optional[Callable], time_bin: float,
+                 commands, results) -> None:
+    """Host some partitions, resident: open their sessions once, serve bins.
 
-    ``commands`` / ``results`` are the worker ends of the per-shard pipes.
-    Every message is handled in FIFO order, which is what gives control
-    messages (capacity, query arrivals) their bin-boundary semantics: a
-    ``set_capacity`` sent before bin ``i``'s batch is queued by the
-    session and applied when bin ``i`` is ingested, exactly as in-process.
+    ``partitions`` lists ``(partition_index, config, name)`` for every
+    partition this worker hosts; ``commands`` / ``results`` are the worker
+    ends of its pipes.  Every message is handled in FIFO order, which is
+    what gives control messages (capacity, query arrivals) their
+    bin-boundary semantics: a ``set_capacity`` sent before bin ``i``'s batch
+    is queued by the session and applied when bin ``i`` is ingested,
+    exactly as in-process.  Requests that expect an answer carry a sequence
+    id and are answered with ``(kind, seq, payload)``, where the payload
+    holds one entry per hosted partition, in hosted order.
     """
     segments = {}
     try:
-        system = config.build(query_factory())
-        session = system.open_session(time_bin=time_bin, name=name)
+        from .sharding import open_partition, partition_profile
+        sessions = {index: open_partition(config, query_factory, time_bin,
+                                          name)
+                    for index, config, name in partitions}
+        bin_seconds = {index: [] for index in sessions}
         while True:
             message = commands.recv()
             kind = message[0]
             if kind == "ingest":
-                _, seq, segment_name, n, bin_len, start_ts, payloads = message
-                if n:
-                    segment = segments.get(segment_name)
-                    if segment is None:
-                        segment = _attach_segment(segment_name)
-                        segments[segment_name] = segment
-                    # Copy the columns out of the slot: the batch then owns
-                    # its arrays and the parent may repack the slot as soon
-                    # as it sees this bin's record.
-                    batch = Batch.from_buffer(
-                        segment.buf, n, time_bin=bin_len, start_ts=start_ts,
-                        payloads=payloads, copy=True)
-                else:
-                    batch = Batch.empty(time_bin=bin_len, start_ts=start_ts,
-                                        with_payloads=payloads is not None)
-                record = session.ingest(batch)
-                results.send(("record", seq, record))
+                _, seq, segment_name, entries = message
+                if segment_name is not None and segment_name not in segments:
+                    segments[segment_name] = _attach_segment(segment_name)
+                records = []
+                for index, n, offset, bin_len, start_ts, payloads in entries:
+                    if n:
+                        # Copy the columns out of the slot: the batch then
+                        # owns its arrays and the parent may repack the slot
+                        # as soon as it sees this bin's records.
+                        batch = Batch.from_buffer(
+                            segments[segment_name].buf[offset:], n,
+                            time_bin=bin_len, start_ts=start_ts,
+                            payloads=payloads, copy=True)
+                    else:
+                        batch = Batch.empty(time_bin=bin_len,
+                                            start_ts=start_ts,
+                                            with_payloads=payloads is not None)
+                    started = time.perf_counter()
+                    records.append(sessions[index].ingest(batch))
+                    bin_seconds[index].append(time.perf_counter() - started)
+                results.send(("ingest", seq, records))
             elif kind == "set_capacity":
-                session.set_capacity(message[1])
+                sessions[message[1]].set_capacity(message[2])
             elif kind == "add_query":
-                session.add_query(message[1], start_time=message[2])
+                sessions[message[1]].add_query(message[2],
+                                               start_time=message[3])
             elif kind == "remove_query":
-                session.remove_query(message[1])
+                sessions[message[1]].remove_query(message[2])
             elif kind == "partial":
-                results.send(("partial", message[1], session.partial_result()))
+                results.send((kind, message[1],
+                              [session.partial_result()
+                               for session in sessions.values()]))
             elif kind == "metrics":
-                # Ship the live profiler and sharing stats; the parent folds
-                # the per-shard profiles into one summary.
-                results.send(("metrics", message[1],
-                              (session.system.profiler,
-                               session.system.feature_states.stats())))
+                # Ship the live profilers and sharing stats; the parent
+                # folds the per-partition profiles into one summary.
+                results.send((kind, message[1],
+                              [partition_profile(session)
+                               for session in sessions.values()]))
             elif kind == "state":
-                # Checkpoint capture: ship the whole session back.  Pickling
-                # it over the pipe *is* the snapshot — the parent receives a
-                # private copy while this worker's live session streams on.
-                results.send(("state", message[1], session))
+                # Checkpoint capture: ship the sessions back.  Pickling them
+                # over the pipe *is* the snapshot — the parent receives
+                # private copies while the live sessions stream on.
+                results.send((kind, message[1], list(sessions.values())))
             elif kind == "load_session":
-                # Checkpoint restore: adopt the session shipped by the
-                # parent (unpickling rebuilt it in this process), replacing
-                # the fresh one built at startup.
-                session = message[2]
-                results.send(("loaded", message[1], True))
+                # Checkpoint restore: adopt the sessions shipped by the
+                # parent (unpickling rebuilt them in this process),
+                # replacing the fresh ones opened at startup.
+                sessions = dict(zip(sessions, message[2]))
+                results.send((kind, message[1], [None] * len(sessions)))
             elif kind == "close":
-                results.send(("result", message[1], session.close()))
+                results.send((kind, message[1],
+                              [(session.close(), bin_seconds[index])
+                               for index, session in sessions.items()]))
             elif kind == "detach":
                 segment = segments.pop(message[1], None)
                 if segment is not None:
@@ -195,7 +213,7 @@ def _shard_worker_main(shard_index: int, config, query_factory,
         pass
     except BaseException:
         try:
-            results.send(("error", shard_index, traceback.format_exc()))
+            results.send(("error", worker_index, traceback.format_exc()))
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
@@ -223,14 +241,16 @@ class _Slot:
 
 
 class _Worker:
-    """Parent-side handle of one shard worker."""
+    """Parent-side handle of one worker process."""
 
-    __slots__ = ("index", "process", "commands", "results", "slots", "seq",
-                 "acked", "pending_unlinks")
+    __slots__ = ("index", "partitions", "process", "commands", "results",
+                 "slots", "seq", "acked", "pending_unlinks")
 
-    def __init__(self, index: int, process, commands, results,
-                 slots: List[_Slot]) -> None:
+    def __init__(self, index: int, partitions: List[int], process, commands,
+                 results, slots: List[_Slot]) -> None:
         self.index = index
+        #: Partition indices this worker hosts, in hosted order.
+        self.partitions = partitions
         self.process = process
         self.commands = commands
         self.results = results
@@ -245,27 +265,39 @@ class _Worker:
 
 
 class ShardWorkerPool:
-    """One persistent process per shard, fed through shared memory.
+    """Persistent worker processes hosting the partitions of one stream.
 
     Parameters
     ----------
     configs:
-        Per-shard :class:`~repro.monitor.config.SystemConfig` objects (as
-        built by :class:`~repro.monitor.sharding.ShardedSystem`).
+        Per-partition :class:`~repro.monitor.config.SystemConfig` objects
+        (the shard configs of a
+        :class:`~repro.monitor.sharding.ShardedSystem`, or a fleet's node
+        configs).
     query_factory:
         Zero-argument callable returning fresh query instances; called
-        once *inside* each worker, so per-shard query state never crosses
-        a process boundary.
+        once per partition *inside* its worker, so per-partition query
+        state never crosses a process boundary.  ``None`` builds every
+        partition's declarative ``config.queries`` instead.
     time_bin, names:
-        Session parameters forwarded to each worker's
+        Session parameters forwarded to each partition's
         ``open_session(time_bin=..., name=names[i])``.
+    buffers_per_worker:
+        Shared-memory slots per worker (the run-ahead window).
+    processes:
+        Worker processes to start; partition ``i`` lives in process
+        ``i % processes``.  ``None`` starts one process per partition.
     """
 
-    def __init__(self, configs: Sequence, query_factory: Callable,
+    def __init__(self, configs: Sequence, query_factory: Optional[Callable],
                  time_bin: float, names: Sequence[str],
-                 buffers_per_worker: int = 2) -> None:
+                 buffers_per_worker: int = 2,
+                 processes: Optional[int] = None) -> None:
         if len(names) != len(configs):
-            raise ValueError("need one session name per shard config")
+            raise ValueError("need one session name per partition config")
+        count = len(configs)
+        processes = count if processes is None else \
+            max(1, min(int(processes), count))
         method = "fork" if fork_start_available() else None
         context = multiprocessing.get_context(method)
         self._closed_results: Optional[List] = None
@@ -275,32 +307,38 @@ class ShardWorkerPool:
         self.created_segments: List[str] = []
         self._workers: List[_Worker] = []
         try:
-            for index, config in enumerate(configs):
+            for index in range(processes):
+                hosted = list(range(index, count, processes))
                 command_recv, command_send = multiprocessing.Pipe(duplex=False)
                 result_recv, result_send = multiprocessing.Pipe(duplex=False)
                 slots = [self._new_slot(_MIN_SEGMENT_BYTES)
                          for _ in range(int(buffers_per_worker))]
                 process = context.Process(
-                    target=_shard_worker_main,
-                    args=(index, config, query_factory, float(time_bin),
-                          names[index], command_recv, result_send),
+                    target=_worker_main,
+                    args=(index,
+                          [(p, configs[p], names[p]) for p in hosted],
+                          query_factory, float(time_bin), command_recv,
+                          result_send),
                     daemon=True,
-                    name=f"repro-shard-{index}")
+                    name=f"repro-worker-{index}")
                 process.start()
                 # The worker owns these ends now; closing the parent's
                 # copies keeps fd counts flat across many pools.
                 command_recv.close()
                 result_send.close()
-                self._workers.append(_Worker(index, process, command_send,
-                                             result_recv, slots))
+                self._workers.append(_Worker(index, hosted, process,
+                                             command_send, result_recv,
+                                             slots))
         except BaseException:
             self.stop()
             raise
+        #: The worker hosting each partition.
+        self._host = [self._workers[p % processes] for p in range(count)]
 
     # ------------------------------------------------------------------
     @property
-    def num_shards(self) -> int:
-        return len(self._workers)
+    def num_partitions(self) -> int:
+        return len(self._host)
 
     @property
     def stopped(self) -> bool:
@@ -384,150 +422,123 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest_async(self, shard: int, batch: Batch) -> int:
-        """Ship one bin's sub-batch to ``shard``; returns its sequence id.
+    def ingest_async(self, parts: Sequence[Batch]) -> List[int]:
+        """Ship one bin's sub-batches (one per partition); no waiting.
 
-        Does not wait for the bin's record: with rebalancing off the
-        caller may run up to ``buffers_per_worker`` bins ahead per shard
-        (the slot acquisition below enforces exactly that window).  Pair
-        with :meth:`wait_record` for lockstep semantics.
+        Returns one sequence id per worker.  With rebalancing off the
+        caller may run up to ``buffers_per_worker`` bins ahead per worker
+        (the slot acquisition below enforces exactly that window); pair
+        with :meth:`wait_records` for lockstep semantics.
         """
         self._check_usable()
-        worker = self._workers[shard]
+        if len(parts) != len(self._host):
+            raise ValueError(f"need one sub-batch per partition: got "
+                             f"{len(parts)} for {len(self._host)}")
+        return [self._ship(worker, [(p, parts[p]) for p in worker.partitions])
+                for worker in self._workers]
+
+    def _ship(self, worker: _Worker, parts: List[Tuple[int, Batch]]) -> int:
+        """Pack ``parts`` back to back into one slot; send one message."""
         worker.seq += 1
         seq = worker.seq
-        n = len(batch)
+        sizes = [batch.buffer_nbytes() if len(batch) else 0
+                 for _, batch in parts]
+        needed = sum(sizes)
         segment_name = None
-        if n:
+        if needed:
             slot = worker.slots[seq % len(worker.slots)]
             # Flow control: the slot is free only once the bin that last
             # used it has been answered.
             while slot.busy_seq is not None and worker.acked < slot.busy_seq:
-                response = self._recv(worker)
-                self._note_ack(worker, response[1])
-            needed = batch.buffer_nbytes()
+                self._note_ack(worker, self._recv(worker)[1])
             if needed > slot.capacity:
                 # Grow: retire the old segment (unlink deferred until the
                 # worker has provably moved past the detach message).
                 self._send(worker, ("detach", slot.shm.name))
                 worker.pending_unlinks.append((slot.shm, seq))
-                new_slot = self._new_slot(int(needed * _GROWTH_FACTOR))
-                worker.slots[seq % len(worker.slots)] = new_slot
-                slot = new_slot
-            batch.pack_into(slot.shm.buf)
+                slot = self._new_slot(int(needed * _GROWTH_FACTOR))
+                worker.slots[seq % len(worker.slots)] = slot
             slot.busy_seq = seq
             segment_name = slot.shm.name
-        self._send(worker, ("ingest", seq, segment_name, n, batch.time_bin,
+        entries = []
+        offset = 0
+        for (partition, batch), size in zip(parts, sizes):
+            if size:
+                batch.pack_into(slot.shm.buf[offset:offset + size])
+            entries.append((partition, len(batch), offset, batch.time_bin,
                             batch.start_ts, batch.payloads))
+            offset += size
+        self._send(worker, ("ingest", seq, segment_name, entries))
         return seq
 
-    def wait_record(self, shard: int, seq: int):
-        """Block until ``shard`` answers sequence ``seq``; return its record.
+    def wait_records(self, seqs: Sequence[int]) -> List:
+        """Block until every worker answers ``seqs``; records per partition.
 
         Responses arrive in FIFO order; records overtaken while waiting
         (possible only when the caller ran ahead with :meth:`ingest_async`)
         are acknowledged and dropped — their bins are already folded into
-        the worker session's own result.
+        the worker sessions' own results.
         """
         self._check_usable()
-        worker = self._workers[shard]
-        while worker.acked < seq:
-            response = self._recv(worker)
-            self._note_ack(worker, response[1])
-            if response[0] == "record" and response[1] == seq:
-                return response[2]
-        raise ShardWorkerError(  # pragma: no cover - protocol error
-            f"record {seq} of shard {shard} was already consumed")
+        records = [None] * len(self._host)
+        for worker, seq in zip(self._workers, seqs):
+            answers = self._await_payload(worker, seq, "ingest")
+            for partition, record in zip(worker.partitions, answers):
+                records[partition] = record
+        return records
 
     def ingest(self, parts: Sequence[Batch]) -> List:
-        """Lockstep helper: one bin across all shards, records returned.
+        """Lockstep helper: one bin across all partitions, records returned.
 
-        All sub-batches are shipped first so the shards compute the bin
-        concurrently; the parent then gathers one record per shard.
+        All sub-batches are shipped first so the workers compute the bin
+        concurrently; the parent then gathers one record per partition.
         """
-        seqs = [self.ingest_async(shard, part)
-                for shard, part in enumerate(parts)]
-        return [self.wait_record(shard, seq)
-                for shard, seq in enumerate(seqs)]
+        return self.wait_records(self.ingest_async(parts))
 
     # ------------------------------------------------------------------
     # Control messages (FIFO with the batches: bin-boundary semantics)
     # ------------------------------------------------------------------
-    def set_capacity(self, shard: int, cycles_per_second: float) -> None:
+    def set_capacity(self, partition: int, cycles_per_second: float) -> None:
         self._check_usable()
-        self._send(self._workers[shard],
-                   ("set_capacity", float(cycles_per_second)))
+        self._send(self._host[partition],
+                   ("set_capacity", partition, float(cycles_per_second)))
 
-    def add_query(self, shard: int, query, start_time=None) -> None:
+    def add_query(self, partition: int, query, start_time=None) -> None:
         self._check_usable()
-        self._send(self._workers[shard], ("add_query", query, start_time))
+        self._send(self._host[partition],
+                   ("add_query", partition, query, start_time))
 
-    def remove_query(self, shard: int, name: str) -> None:
+    def remove_query(self, partition: int, name: str) -> None:
         self._check_usable()
-        self._send(self._workers[shard], ("remove_query", name))
+        self._send(self._host[partition], ("remove_query", partition, name))
 
     # ------------------------------------------------------------------
     # Results and lifecycle
     # ------------------------------------------------------------------
-    def partial_results(self) -> List:
-        """Accuracy-so-far snapshot of every shard (sessions keep running)."""
-        self._check_usable()
-        seqs = []
-        for worker in self._workers:
-            worker.seq += 1
-            self._send(worker, ("partial", worker.seq))
-            seqs.append(worker.seq)
-        return [self._await_payload(worker, seq, "partial")
-                for worker, seq in zip(self._workers, seqs)]
+    def _request(self, kind: str, payloads: Optional[Sequence] = None
+                 ) -> List:
+        """One ``kind`` request per worker; answers in partition order.
 
-    def metrics(self) -> List:
-        """Per-shard ``(profiler, sharing_stats)`` pairs (sessions keep
-        running).  FIFO with the batches, so each shard's numbers land at a
-        bin boundary."""
-        self._check_usable()
-        seqs = []
-        for worker in self._workers:
-            worker.seq += 1
-            self._send(worker, ("metrics", worker.seq))
-            seqs.append(worker.seq)
-        return [self._await_payload(worker, seq, "metrics")
-                for worker, seq in zip(self._workers, seqs)]
-
-    def session_states(self) -> List:
-        """Checkpoint capture: every worker's resident session, copied out.
-
-        FIFO with the batches, so the snapshot lands exactly at a bin
-        boundary; the workers keep streaming afterwards.
+        ``payloads`` (one per partition) ride along, each to the worker
+        hosting its partition.  FIFO with the batches, so every answer
+        lands at a bin boundary.
         """
         self._check_usable()
         seqs = []
         for worker in self._workers:
             worker.seq += 1
-            self._send(worker, ("state", worker.seq))
+            message = (kind, worker.seq)
+            if payloads is not None:
+                message += ([payloads[p] for p in worker.partitions],)
+            self._send(worker, message)
             seqs.append(worker.seq)
-        return [self._await_payload(worker, seq, "state")
-                for worker, seq in zip(self._workers, seqs)]
-
-    def load_sessions(self, sessions: Sequence) -> None:
-        """Checkpoint restore: replace every worker's resident session.
-
-        Each worker adopts the session object shipped to it (state built by
-        a prior execution), discarding the fresh one it constructed at
-        startup; the ack keeps the restore synchronous, so the caller may
-        ingest immediately after.
-        """
-        self._check_usable()
-        if len(sessions) != len(self._workers):
-            raise ValueError(
-                f"need one session per shard worker: got {len(sessions)} "
-                f"for {len(self._workers)} workers")
-        seqs = []
-        for worker, session in zip(self._workers, sessions):
-            worker.seq += 1
-            self._send(worker, ("load_session", worker.seq, session))
-            seqs.append(worker.seq)
+        answers = [None] * len(self._host)
         for worker, seq in zip(self._workers, seqs):
-            self._await_payload(worker, seq, "loaded")
+            for partition, answer in zip(
+                    worker.partitions,
+                    self._await_payload(worker, seq, kind)):
+                answers[partition] = answer
+        return answers
 
     def _await_payload(self, worker: _Worker, seq: int, kind: str):
         while True:
@@ -536,28 +547,47 @@ class ShardWorkerPool:
             if response[0] == kind and response[1] == seq:
                 return response[2]
 
-    def close(self) -> List:
-        """Flush every worker's session; returns per-shard execution results.
+    def partial_results(self) -> List:
+        """Accuracy-so-far snapshot of every partition (sessions keep
+        running)."""
+        return self._request("partial")
 
-        Idempotent: later calls return the same result objects.  The pool
-        is stopped (processes joined, segments unlinked) before returning.
+    def metrics(self) -> List:
+        """Per-partition ``(profiler, sharing_stats)`` pairs (sessions keep
+        running)."""
+        return self._request("metrics")
+
+    def session_states(self) -> List:
+        """Checkpoint capture: every resident partition session, copied out
+        at a bin boundary; the workers keep streaming afterwards."""
+        return self._request("state")
+
+    def load_sessions(self, sessions: Sequence) -> None:
+        """Checkpoint restore: replace every resident partition session.
+
+        Each worker adopts the session objects shipped to it (state built
+        by a prior execution), discarding the fresh ones it opened at
+        startup; the ack keeps the restore synchronous, so the caller may
+        ingest immediately after.
         """
-        if self._closed_results is not None:
-            return self._closed_results
-        self._check_usable()
-        seqs = []
-        for worker in self._workers:
-            worker.seq += 1
-            self._send(worker, ("close", worker.seq))
-            seqs.append(worker.seq)
-        try:
-            results = [self._await_payload(worker, seq, "result")
-                       for worker, seq in zip(self._workers, seqs)]
-        except ShardWorkerError:
-            raise
-        self._closed_results = results
-        self.stop()
-        return results
+        if len(sessions) != len(self._host):
+            raise ValueError(
+                f"need one session per partition: got {len(sessions)} "
+                f"for {len(self._host)} partitions")
+        self._request("load_session", sessions)
+
+    def close(self) -> List[Tuple]:
+        """Flush every partition session.
+
+        Returns ``(execution result, per-bin ingest seconds)`` per
+        partition.  Idempotent: later calls return the same objects.  The
+        pool is stopped (processes joined, segments unlinked) before
+        returning.
+        """
+        if self._closed_results is None:
+            self._closed_results = self._request("close")
+            self.stop()
+        return self._closed_results
 
     def stop(self) -> None:
         """Terminate the workers and release every shared resource.
@@ -605,5 +635,6 @@ class ShardWorkerPool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "stopped" if self._stopped else "running"
-        return (f"ShardWorkerPool(shards={self.num_shards}, {state}, "
+        return (f"ShardWorkerPool(partitions={self.num_partitions}, "
+                f"processes={len(self._workers)}, {state}, "
                 f"pid={os.getpid()})")

@@ -22,9 +22,16 @@ from repro.fleet import (FleetAggregator, FleetPartitioner, FleetRunner,
                          verify_exactness)
 from repro.fleet.__main__ import main as fleet_main
 from repro.monitor.sharding import FLOW_FIELDS, shard_seed
-from repro.monitor.workers import fork_start_available
+from repro.core.pool import effective_workers
+from repro.monitor.workers import (ShardWorkerError, ShardWorkerPool,
+                                   fork_start_available)
 from repro.queries import MERGE_EXACTNESS, parse_query_specs
+from repro.traffic.trace_io import save_trace_store
 from tests.conftest import make_batch
+
+
+needs_fork = pytest.mark.skipif(not fork_start_available(),
+                                reason="needs the fork start method")
 
 
 def _config(**overrides):
@@ -324,20 +331,128 @@ class TestFleetRunner:
         assert result.federated.budget.cycles_per_second == \
             pytest.approx(8e7)
 
-    @pytest.mark.skipif(not fork_start_available(),
-                        reason="needs the fork start method")
-    def test_fork_backend_matches_inprocess(self, small_trace):
+    @needs_fork
+    def test_workers_backend_matches_inprocess(self, small_trace,
+                                               monkeypatch):
         config = _config()
-        topology = FleetTopology.uniform(2)
+        topology = FleetTopology.uniform(5)
         inproc = FleetRunner(topology, config=config,
                              backend="inprocess").run(small_trace,
                                                       time_bin=0.5)
-        forked = FleetRunner(topology, config=config, n_workers=2,
-                             backend="fork").run(small_trace, time_bin=0.5)
-        assert forked.backend == "fork"
-        assert forked.federated.bins == inproc.federated.bins
+        processes = []
+        start_pool = ShardWorkerPool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            start_pool(pool, *args, **kwargs)
+            processes.append(len(pool._workers))
+
+        monkeypatch.setattr(ShardWorkerPool, "__init__", counting_init)
+        pooled = FleetRunner(topology, config=config, n_workers=2,
+                             backend="workers").run(small_trace,
+                                                    time_bin=0.5)
+        assert pooled.backend == "workers"
+        # The nodes share the worker processes instead of one per node.
+        assert processes and max(processes) <= effective_workers(
+            2, topology.num_nodes)
+        assert pooled.federated.bins == inproc.federated.bins
         for name, log in inproc.federated.query_logs.items():
-            assert forked.federated.query_logs[name].results == log.results
+            assert pooled.federated.query_logs[name].results == log.results
+        assert pooled.node_bin_seconds.shape == inproc.node_bin_seconds.shape
+        for mine, theirs in zip(pooled.node_results, inproc.node_results):
+            assert mine.bins == theirs.bins
+
+    @needs_fork
+    def test_workers_backend_streams_a_trace_store(self, small_trace,
+                                                   tmp_path):
+        config = _config()
+        topology = FleetTopology.uniform(3, partition_by="src-prefix")
+        in_memory = FleetRunner(topology, config=config,
+                                backend="inprocess").run(small_trace,
+                                                         time_bin=0.5)
+        store = save_trace_store(small_trace, tmp_path / "fleet-store")
+        streamed = FleetRunner(topology, config=config, n_workers=2,
+                               backend="workers").run(store, time_bin=0.5)
+        assert streamed.federated.bins == in_memory.federated.bins
+        for name, log in in_memory.federated.query_logs.items():
+            assert streamed.federated.query_logs[name].intervals == \
+                log.intervals
+            assert streamed.federated.query_logs[name].results == \
+                log.results
+
+    @needs_fork
+    def test_packed_workers_answer_mid_stream_like_inprocess(self,
+                                                            small_trace):
+        """Requests to workers hosting several nodes come back in node
+        order: partial results and live metrics match in-process."""
+        topology = FleetTopology.uniform(3)
+        batches = small_trace.batch_list(0.5)
+        sessions = {
+            backend: FleetRunner(topology, config=_config(),
+                                 n_workers=workers, backend=backend,
+                                 respect_cores=False).open_session(
+                time_bin=0.5, name="mid")
+            for backend, workers in (("inprocess", 1), ("workers", 2))}
+        assert len(sessions["workers"]._pool._workers) == 2
+        for batch in batches[: len(batches) // 2]:
+            for session in sessions.values():
+                session.ingest(batch)
+        partial = {backend: session.partial_result()
+                   for backend, session in sessions.items()}
+        assert partial["workers"].bins == partial["inprocess"].bins
+        for name, log in partial["inprocess"].query_logs.items():
+            assert partial["workers"].query_logs[name].results == \
+                log.results
+        live = {backend: session.metrics
+                for backend, session in sessions.items()}
+        assert live["workers"]["feature_sharing"] == \
+            live["inprocess"]["feature_sharing"]
+        assert live["workers"]["profile"]["bins"] == \
+            live["inprocess"]["profile"]["bins"]
+        for session in sessions.values():
+            session.close()
+        outcomes = {backend: session.partition_outcomes
+                    for backend, session in sessions.items()}
+        for mine, theirs in zip(outcomes["workers"], outcomes["inprocess"]):
+            assert mine[0].bins == theirs[0].bins
+            assert len(mine[2]) == len(theirs[2]) == len(batches) // 2
+
+    @pytest.mark.parametrize("backend", [
+        "inprocess", pytest.param("workers", marks=needs_fork)])
+    def test_nested_shards_pass_exactness(self, small_trace, backend):
+        """A node whose overlay shards it runs a nested in-process sharded
+        session, on either fleet backend."""
+        topology = FleetTopology(nodes=[
+            NodeSpec("sharded", weight=2.0, overlay={"num_shards": 2}),
+            NodeSpec("plain")])
+        n_workers = 2 if backend == "workers" else 1
+        verdict = verify_exactness(topology, small_trace, config=_config(),
+                                   time_bin=0.5, n_workers=n_workers,
+                                   backend=backend)
+        assert verdict["exact_queries_identical"] is True
+        result = FleetRunner(topology, config=_config(), n_workers=n_workers,
+                             backend=backend).run(small_trace, time_bin=0.5)
+        assert result.backend == backend
+        bins = len(result.federated.bins)
+        assert result.node_bin_seconds.shape == (2, bins)
+
+    @needs_fork
+    def test_killing_a_multi_partition_worker_raises(self):
+        fleet = FleetRunner(FleetTopology.uniform(4), config=_config(),
+                            n_workers=2, backend="workers",
+                            respect_cores=False)
+        session = fleet.open_session(name="doomed")
+        session.ingest(make_batch(n=80, seed=1))
+        pool = session._pool
+        victim = pool._workers[0]
+        assert victim.partitions == [0, 2]
+        victim.process.kill()
+        victim.process.join(timeout=10.0)
+        with pytest.raises(ShardWorkerError, match="shard worker 0"):
+            for s in range(2, 12):
+                session.ingest(make_batch(n=80, seed=s, start_ts=0.1 * s))
+        assert pool.stopped
+        with pytest.raises(ShardWorkerError):
+            session.ingest(make_batch(n=80, seed=99))
 
 
 # ----------------------------------------------------------------------

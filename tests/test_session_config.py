@@ -10,10 +10,9 @@ Three families:
   reproduce the pre-registered arrival scenario of Figure 6.9 bit for bit;
   departures must flush logs and leave no stale enforcer/controller state;
   ``set_capacity`` must take effect at the next bin boundary.
-* **Shim** — the legacy ``**system_kwargs`` surface of the experiment
-  helpers keeps working (user overrides now *win* over harness defaults
-  instead of raising ``TypeError``) but warns with
-  :class:`ReproDeprecationWarning`.
+* **Harness overrides** — a user's ``feature_method`` in
+  ``runner.system_config(...)`` wins over the harness's
+  ``FEATURE_CONFIG`` default.
 """
 
 import json
@@ -21,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import MonitoringSystem, ReproDeprecationWarning, SystemConfig
+from repro import MonitoringSystem, SystemConfig
 from repro.experiments import runner
 from repro.queries import make_query
 from repro.testing import assert_results_identical as _assert_results_identical
@@ -329,49 +328,25 @@ class TestSessionLiveReconfiguration:
 
 
 # ----------------------------------------------------------------------
-# Legacy kwargs shim
+# Harness overrides (once routed through the removed loose-kwargs shim)
 # ----------------------------------------------------------------------
 class TestKwargsShim:
     def test_feature_method_override_no_longer_collides(self, small_trace,
                                                         calibrated):
-        """Regression: ``**FEATURE_CONFIG`` vs ``**system_kwargs`` collision.
+        """Regression: ``FEATURE_CONFIG`` vs user ``feature_method``.
 
-        ``run_system(..., feature_method='exact')`` used to raise
-        ``TypeError: got multiple values for keyword argument``; the user
-        override must simply win over the harness default (via the
-        deprecation shim).
+        Overriding the harness's feature method used to raise ``TypeError:
+        got multiple values for keyword argument``; the user override must
+        simply win over the harness default.
         """
         capacity, _ = calibrated
-        with pytest.warns(ReproDeprecationWarning):
-            result = runner.run_system(["counter"], small_trace, capacity,
-                                       feature_method="exact")
+        exact = runner.system_config(feature_method="exact")
+        assert exact.feature_method == "exact"
+        result = runner.run_system(["counter"], small_trace, capacity,
+                                   config=exact)
         assert result.total_packets == len(small_trace)
-        with pytest.warns(ReproDeprecationWarning):
-            bitmap = runner.run_system(["counter"], small_trace, capacity,
-                                       feature_method="bitmap")
-        assert bitmap.total_packets == len(small_trace)
-
-    def test_shim_kwargs_reach_the_system(self, small_trace, calibrated):
-        capacity, _ = calibrated
-        with pytest.warns(ReproDeprecationWarning):
-            result, _ = runner.run_with_overload(
-                ("counter",), small_trace, 0.3, base_capacity=capacity,
-                reference=object(), seed=5)
-        assert isinstance(result.mean_sampling_rate(), float)
-
-    def test_config_path_does_not_warn(self, small_trace, calibrated):
-        import warnings
-        capacity, _ = calibrated
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            runner.run_system(["counter"], small_trace, capacity,
-                              config=runner.system_config(seed=5))
-
-    def test_shim_and_config_agree(self, small_trace, calibrated):
-        capacity, _ = calibrated
-        with pytest.warns(ReproDeprecationWarning):
-            shimmed = runner.run_system(QUERY_SET, small_trace,
-                                        capacity * 0.5, seed=3)
-        canonical = runner.run_system(QUERY_SET, small_trace, capacity * 0.5,
-                                      config=runner.system_config(seed=3))
-        _assert_results_identical(shimmed, canonical)
+        bitmap = runner.system_config(feature_method="bitmap")
+        assert bitmap.feature_method == "bitmap"
+        result = runner.run_system(["counter"], small_trace, capacity,
+                                   config=bitmap)
+        assert result.total_packets == len(small_trace)

@@ -1,6 +1,6 @@
 """Sharded-pipeline invariants.
 
-Four contracts the sharded execution layer must honour:
+Five contracts the sharded execution layer must honour:
 
 * **Degenerate identity** — ``ShardedSystem(num_shards=1)`` is bit-identical
   to the classic single-system run in *all four* operating modes (the
@@ -13,8 +13,10 @@ Four contracts the sharded execution layer must honour:
 * **Merged accuracy** — N-shard merged counter/flows estimates are exact
   without shedding and within sampling tolerance of the unsharded run under
   a predictive overload.
-* **Pool transparency** — running shards on a fork pool is bit-identical to
-  running them in-process (rebalancing off, which is the pooled contract).
+* **Pool transparency** — running shards on persistent worker processes
+  is bit-identical to running them in-process.
+* **Explicit partitions** — :meth:`ShardedSystem.partitioned` runs every
+  partition's own config over its slice of a custom split.
 """
 
 import numpy as np
@@ -177,14 +179,46 @@ class TestPoolTransparency:
         for qname, log in in_process.query_logs.items():
             assert pooled.query_logs[qname].results == log.results
 
-    def test_rebalancing_rejected_on_the_fork_backend(self):
-        """The legacy fork pool has no per-bin capacity exchange, so it
-        still refuses rebalancing; the persistent 'workers' backend (and
-        'auto', which resolves to it) accepts the same request."""
-        with pytest.raises(ValueError, match="rebalanc"):
-            ShardedSystem(_factory(), num_shards=4, rebalance=True,
-                          n_workers=4, backend="fork")
-        ShardedSystem(_factory(), num_shards=4, rebalance=True, n_workers=4)
+
+class TestExplicitPartitions:
+    def test_partitions_run_their_own_configs_over_a_custom_split(self):
+        """Each partition equals its config run alone over its slice."""
+        base = runner.system_config(
+            queries=("counter", "flows"), cycles_per_second=4e7, seed=3)
+        configs = [base.replace(cycles_per_second=3e7),
+                   base.replace(cycles_per_second=1e7, mode="reactive",
+                                seed=shard_seed(3, 1))]
+
+        def by_source_parity(batch):
+            return batch.partition(
+                2, ("src_ip",), partition_key=("test-parity", 2),
+                assignments=(np.asarray(batch.src_ip) % 2).astype(np.intp))
+
+        system = ShardedSystem.partitioned(
+            base, configs, by_source_parity, labels=["even", "odd"])
+        assert system.num_shards == 2 and not system.rebalance
+        assert system.total_cycles_per_second == 4e7
+        batches = [make_batch(n=150, seed=s, start_ts=0.1 * s)
+                   for s in range(8)]
+        session = system.open_session(name="parity")
+        for batch in batches:
+            session.ingest(batch)
+        merged = session.close()
+        for index, (result, metrics, seconds) in enumerate(
+                session.partition_outcomes):
+            alone = configs[index].build().open_session(
+                name=f"parity[{('even', 'odd')[index]}]")
+            for batch in batches:
+                alone.ingest(by_source_parity(batch)[index])
+            expected = alone.close()
+            assert result.bins == expected.bins
+            assert result.trace_name == expected.trace_name
+            for name, log in expected.query_logs.items():
+                assert result.query_logs[name].results == log.results
+            assert metrics["profile"]["bins"] == len(batches)
+            assert len(seconds) == len(batches)
+        assert merged.total_packets == sum(len(b) for b in batches)
+        assert merged.budget.cycles_per_second == 4e7
 
 
 class TestResultMerging:

@@ -23,7 +23,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import game
@@ -300,8 +300,24 @@ def tenanted_cases(draw):
     return names, predicted, min_rates, ids, groups, capacity, packet_fair
 
 
+def _floor_ulp_case():
+    """t3's tier-1 share equals its floor cost to within one ulp, and its
+    zero-cost member q019 must get the same rate from both allocators."""
+    names = [f"q{i:03d}" for i in range(22)]
+    predicted = np.zeros(22)
+    predicted[[2, 11, 17, 18]] = [51.0, 6995.0, 15.0, 18.0]
+    min_rates = np.zeros(22)
+    min_rates[[2, 11, 18]] = [0.5625, 0.5, 0.7442268552471708]
+    ids = np.zeros(22, dtype=np.intp)
+    ids[[2, 11, 18, 19]] = 3
+    groups = tuple(TenantGroup(name=f"t{slot}", weight=weight)
+                   for slot, weight in enumerate((1.0, 1.0, 1.0, 0.203125)))
+    return names, predicted, min_rates, ids, groups, 3540.0, True
+
+
 class TestTwoTierProperties:
     @given(tenanted_cases())
+    @example(_floor_ulp_case())
     @settings(deadline=None, max_examples=60)
     def test_vectorised_matches_scalar_reference(self, case):
         names, predicted, min_rates, ids, groups, capacity, packet_fair = \
@@ -316,6 +332,22 @@ class TestTwoTierProperties:
         for name in names:
             assert kernel.rate(name) == pytest.approx(scalar.rate(name),
                                                       abs=1e-4)
+
+    @pytest.mark.parametrize("packet_fair", [True, False])
+    def test_zero_cost_members_sample_at_full_rate(self, packet_fair):
+        """A query predicted to cost nothing gets rate 1.0 from both
+        allocators, whether its tenant's share lands on the tenant's floor
+        cost or an ulp above it."""
+        names, predicted, min_rates, ids, groups, capacity, _ = \
+            _floor_ulp_case()
+        registry = TenantRegistry(groups)
+        for scale in (1.0, 1.0 + 1e-15, 0.5, 2.0):
+            for allocate in (two_tier_allocate, two_tier_scalar):
+                allocation = allocate(names, predicted, min_rates, ids,
+                                      registry, capacity * scale,
+                                      packet_fair=packet_fair)
+                for index in np.flatnonzero(predicted == 0.0):
+                    assert allocation.rate(names[index]) == 1.0
 
     @given(tenanted_cases())
     @settings(deadline=None, max_examples=60)

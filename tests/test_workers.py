@@ -12,8 +12,7 @@ The contracts under test:
   surfaces a :class:`ShardWorkerError` naming the shard (not a hang), and
   every shared-memory segment the pool ever created is unlinked by the
   time it stops — no ``/dev/shm`` leaks, even after failures.
-* **Driver hygiene** — the pre-fork ``_POOL_STATE`` handoff never leaks
-  past an exception, sessions that silently lost their requested
+* **Driver hygiene** — sessions that silently lost their requested
   parallelism warn instead, and streaming-trace telemetry is reset per
   replay run.
 """
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import runner, scenarios
-from repro.monitor import sharding
 from repro.monitor.packet import COLUMN_FIELDS, Batch, column_layout
 from repro.monitor.sharding import ShardedSystem
 from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
@@ -330,26 +328,6 @@ class TestPoolLifecycle:
 # ----------------------------------------------------------------------
 # Driver hygiene
 # ----------------------------------------------------------------------
-class TestPoolStateSafety:
-    def test_pool_state_cleared_when_the_pool_map_raises(self, monkeypatch):
-        """A crash inside the fork pool must not leak the pre-partitioned
-        stream into the parent (and into every later fork)."""
-        def exploding_map(*args, **kwargs):
-            assert sharding._POOL_STATE  # populated for the workers
-            raise RuntimeError("worker crashed")
-
-        monkeypatch.setattr(sharding, "fork_pool_map", exploding_map)
-        system = ShardedSystem(
-            _factory(("counter",)), num_shards=2, n_workers=2,
-            respect_cores=False, backend="fork",
-            config=runner.system_config(cycles_per_second=1e9,
-                                        shard_rebalance=False))
-        trace = scenarios.build_workload("cesca", seed=1, scale=0.05)
-        with pytest.raises(RuntimeError, match="worker crashed"):
-            system.run(trace)
-        assert sharding._POOL_STATE == {}
-
-
 class TestExecutionWarnings:
     def test_session_warns_when_requested_workers_run_in_process(self):
         system = ShardedSystem(_factory(("counter",)), num_shards=2,
